@@ -180,12 +180,13 @@ def check_fingerprint_determinism(module: ModuleInfo) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# 4. crash-safe-write: published metadata uses tmp + fsync + rename
+# 4. crash-safe-write: files are published only through repro.durable
 # ----------------------------------------------------------------------
+_DURABLE_MODULE = "repro/durable.py"
+_RENAMES = {"os.replace", "os.rename"}
 _DURABLE_PATH_HINT = re.compile(
     r"manifest|registry|index|artifact|baseline", re.IGNORECASE
 )
-_WRITE_OPENERS = {"open", "os.fdopen"}
 
 
 def _write_mode(call: ast.Call) -> bool:
@@ -199,49 +200,36 @@ def _write_mode(call: ast.Call) -> bool:
     )
 
 
-def _call_names_in(fn: ast.AST) -> Set[str]:
-    return {
-        call_name(node) or ""
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call)
-    }
-
-
 @register(
     "crash-safe-write",
-    "manifests/registries/artifacts must publish via tmp-write -> fsync -> "
-    "os.replace: a rename without fsync can publish a truncated file after "
-    "a crash, and a plain overwrite is torn by definition",
+    "files are published only through repro.durable: os.replace/os.rename "
+    "outside it, or an in-place overwrite of metadata, can expose a torn "
+    "or forgotten file after a crash",
 )
 def check_crash_safe_write(module: ModuleInfo) -> Iterator[Finding]:
+    if module.path.endswith(_DURABLE_MODULE):
+        return
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
             continue
-        if (call_name(node) or "") not in _WRITE_OPENERS or not _write_mode(node):
-            continue
-        scope = module.enclosing_function(node) or module.tree
-        names = _call_names_in(scope)
-        has_replace = "os.replace" in names or "os.rename" in names
-        has_fsync = "os.fsync" in names
-        if has_replace and not has_fsync:
+        name = call_name(node) or ""
+        if name in _RENAMES:
             yield module.finding(
                 "crash-safe-write",
                 node,
-                "tmp-write + rename without os.fsync: a crash between "
-                "kernel buffering and writeback can publish a truncated "
-                "file under the final name — fsync the temp file before "
-                "os.replace (see ResultsStore.extend)",
+                f"{name} outside repro/durable.py: publish with "
+                "repro.durable.atomic_replace, which owns temp fsync, "
+                "rename, directory fsync and cleanup",
             )
-            continue
-        if node.args:
+        elif name == "open" and _write_mode(node) and node.args:
             target_src = ast.get_source_segment(module.source, node.args[0]) or ""
-            if _DURABLE_PATH_HINT.search(target_src) and not has_replace:
+            if _DURABLE_PATH_HINT.search(target_src):
                 yield module.finding(
                     "crash-safe-write",
                     node,
                     f"direct overwrite of durable metadata ({target_src!r}): "
-                    "write to a temp file, fsync it, then os.replace so "
-                    "readers only ever see a complete document",
+                    "publish with repro.durable.atomic_replace so readers "
+                    "only ever see a complete document",
                 )
 
 

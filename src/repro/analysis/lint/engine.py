@@ -2,7 +2,7 @@
 
 The repo's correctness rests on conventions that no general-purpose
 linter knows about — no-pickle serialization, strict-JSON serving
-responses, tmp+fsync+rename publication of manifests, fork-re-armed
+responses, file publication only through ``repro.durable``, fork-re-armed
 locks, deterministic fingerprint payloads. This module compiles those
 conventions into an executable static-analysis pass so they are
 machine-checked on every push instead of reviewer-checked.
@@ -34,6 +34,8 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+
+from ...durable import atomic_replace
 
 BASELINE_VERSION = 1
 
@@ -120,14 +122,6 @@ class ModuleInfo:
         while current is not None:
             yield current
             current = self._parents.get(current)
-
-    def enclosing_function(
-        self, node: ast.AST
-    ) -> Optional[ast.FunctionDef]:
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return ancestor
-        return None
 
     def enclosing_class(self, node: ast.AST) -> Optional[ast.ClassDef]:
         for ancestor in self.ancestors(node):
@@ -449,13 +443,8 @@ def write_baseline(path: str, findings: List[Finding]) -> None:
             for finding in findings
         ],
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    atomic_replace(path, text.encode())
 
 
 def apply_baseline(

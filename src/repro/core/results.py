@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
-import tempfile
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
+
+from ..durable import append_records
 
 
 @dataclass
@@ -77,11 +77,11 @@ class RunResult:
 class ResultsStore:
     """Append-only JSONL store of run results on disk.
 
-    Writes are crash-safe: a batch lands in the store through a temp-file
-    copy and an atomic rename, so a process killed mid-write (a dead grid
-    worker, a SIGKILLed coordinator) can never leave a truncated store
-    behind — readers and ``resume=True`` always see the previous complete
-    state or the new complete state, nothing in between.
+    Each batch is one ``O_APPEND`` write plus ``fsync``, so an append never
+    touches earlier records. A process killed mid-write (a dead grid worker,
+    a SIGKILLed coordinator) leaves at worst a torn final fragment: the next
+    append terminates it, ``load(strict=False)`` (what ``resume=True``
+    reads) skips it, and ``load(strict=True)`` reports it.
     """
 
     def __init__(self, path: str):
@@ -93,31 +93,11 @@ class ResultsStore:
         self.extend([result])
 
     def extend(self, results: List[RunResult]) -> None:
-        """Append a batch of results atomically (temp file + rename)."""
+        """Durably append a batch of results (one write + fsync)."""
         if not results:
             return
         payload = "".join(result.to_json() + "\n" for result in results)
-        directory = os.path.dirname(os.path.abspath(self.path))
-        fd, tmp = tempfile.mkstemp(
-            dir=directory, prefix=os.path.basename(self.path) + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                if os.path.exists(self.path):
-                    with open(self.path) as current:
-                        shutil.copyfileobj(current, handle)
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            # lint: allow(silent-except) -- failed cleanup of the temp file
-            # on the re-raise path; the original error is what matters
-            except OSError:
-                pass
-            raise
+        append_records(self.path, payload.encode("utf-8"))
 
     def run_keys(self) -> "set[str]":
         """Fingerprints of every stored run that carries one."""

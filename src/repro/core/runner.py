@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from typing import Callable, List, Optional, Tuple, Union
 
 from .. import telemetry
 from ..datasets import DatasetSpec, dataset_spec, load_dataset
+from ..durable import atomic_replace
 from ..frame import DataFrame
 from .executors import (
     ExecutionPlan,
@@ -146,9 +146,9 @@ def write_run_manifest(
     The manifest makes a sweep self-describing after the fact: the
     configuration fingerprints it expanded to, which executor backend ran
     it, how long it took (wall clock plus per-stage span totals when
-    tracing was on), and the distributed lease statistics if any. Written
-    through a temp file + atomic rename, same as the store itself, and
-    rewritten whole on every run (including resumes).
+    tracing was on), and the distributed lease statistics if any.
+    Published with :func:`repro.durable.atomic_replace` and rewritten whole
+    on every run (including resumes).
     """
     prep_keys = sorted({config.prep_key for config in plan.configs})
     manifest = {
@@ -176,25 +176,8 @@ def write_run_manifest(
     if isinstance(distributed_stats, dict):
         manifest["distributed"] = distributed_stats
     path = manifest_path(store)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(manifest, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        # lint: allow(silent-except) -- failed cleanup of the temp file on
-        # the re-raise path; the original error is what matters
-        except OSError:
-            pass
-        raise
+    text = json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+    atomic_replace(path, text.encode())
     return path
 
 

@@ -45,6 +45,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..durable import atomic_replace
 from .column import CATEGORICAL, NUMERIC, Column
 from .dataframe import DataFrame
 
@@ -93,6 +94,8 @@ class _NpyAppendWriter:
             return
         self._handle.seek(0)
         self._handle.write(_npy_header(self.dtype, self.n_rows))
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
         self._handle.close()
 
     def abort(self) -> None:
@@ -119,6 +122,8 @@ def _remap_file_inplace(path: str, lut: np.ndarray) -> None:
             handle.seek(position)
             handle.write(remapped.tobytes())
             position += len(raw)
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
 class FrameStoreWriter:
@@ -205,12 +210,8 @@ class FrameStoreWriter:
             "n_rows": self.n_rows,
             "columns": manifest_columns,
         }
-        manifest_path = os.path.join(self.root, MANIFEST_NAME)
-        with open(manifest_path + ".tmp", "w") as handle:
-            json.dump(manifest, handle, indent=1)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(manifest_path + ".tmp", manifest_path)
+        path = os.path.join(self.root, MANIFEST_NAME)
+        atomic_replace(path, json.dumps(manifest, indent=1).encode())
         return FrameStore.open(self.root)
 
     def abort(self) -> None:

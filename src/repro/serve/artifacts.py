@@ -21,6 +21,7 @@ rejected at save time.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from typing import Any, Dict, List, Optional, Tuple
@@ -28,6 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..datasets import DatasetSpec
+from ..durable import atomic_replace
 from ..serialize import restore, state_of
 
 # importing these modules populates the SERIALIZABLE registry with every
@@ -92,19 +94,18 @@ def save_artifact(directory: str, manifest: Dict[str, Any]) -> str:
     os.makedirs(directory, exist_ok=True)
     arrays: Dict[str, np.ndarray] = {}
     packed = _pack(manifest, arrays)
-    npz_path = os.path.join(directory, ARRAYS_NAME)
-    np.savez(npz_path, **arrays)
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
-    tmp = manifest_path + ".tmp"
-    with open(tmp, "w") as handle:
+    # arrays first: a published manifest never references a torn npz
+    npz = io.BytesIO()
+    np.savez(npz, **arrays)
+    atomic_replace(os.path.join(directory, ARRAYS_NAME), npz.getvalue())
+    atomic_replace(
+        os.path.join(directory, MANIFEST_NAME),
         # lint: allow(strict-json) -- artifact manifests never cross the
         # wire: load_artifact reads them back with Python's json.load
         # (which parses NaN), and fitted parameters that are legitimately
         # NaN must round-trip unchanged
-        json.dump(packed, handle, sort_keys=True, indent=1, allow_nan=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, manifest_path)
+        json.dumps(packed, sort_keys=True, indent=1, allow_nan=True).encode(),
+    )
     return directory
 
 

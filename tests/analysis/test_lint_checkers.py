@@ -136,15 +136,37 @@ class TestCrashSafeWrite:
         report = run(tmp_path, {"m.py": src}, "crash-safe-write")
         assert rules(report) == ["crash-safe-write"]
 
+    FULL_IDIOM = (
+        "import os\n"
+        "def save(path, blob):\n"
+        "    with open(path + '.tmp', 'w') as h:\n"
+        "        h.write(blob)\n"
+        "        h.flush()\n"
+        "        os.fsync(h.fileno())\n"
+        "    os.replace(path + '.tmp', path)\n"
+    )
+
     def test_full_idiom_is_clean(self, tmp_path):
+        # the idiom's one home: repro/durable.py owns the rename
+        report = run(
+            tmp_path, {"repro/durable.py": self.FULL_IDIOM}, "crash-safe-write"
+        )
+        assert report.findings == []
+
+    def test_full_idiom_outside_durable_flagged(self, tmp_path):
+        report = run(tmp_path, {"m.py": self.FULL_IDIOM}, "crash-safe-write")
+        assert rules(report) == ["crash-safe-write"]
+
+    def test_os_rename_outside_durable_flagged(self, tmp_path):
+        src = "import os\ndef move(a, b):\n    os.rename(a, b)\n"
+        report = run(tmp_path, {"m.py": src}, "crash-safe-write")
+        assert rules(report) == ["crash-safe-write"]
+
+    def test_durable_call_is_clean(self, tmp_path):
         src = (
-            "import os\n"
-            "def save(path, blob):\n"
-            "    with open(path + '.tmp', 'w') as h:\n"
-            "        h.write(blob)\n"
-            "        h.flush()\n"
-            "        os.fsync(h.fileno())\n"
-            "    os.replace(path + '.tmp', path)\n"
+            "from repro.durable import atomic_replace\n"
+            "def save(manifest_path, blob):\n"
+            "    atomic_replace(manifest_path, blob)\n"
         )
         report = run(tmp_path, {"m.py": src}, "crash-safe-write")
         assert report.findings == []

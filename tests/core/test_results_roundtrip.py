@@ -130,19 +130,71 @@ class TestStoreRoundtrip:
         store.extend([_result(0, run_key="k0")])
         before = open(store.path).read()
 
-        # a crash at the commit point (power loss before rename) must
-        # leave the previous store bytes intact and no stray temp file
-        def refuse(src, dst):
-            raise OSError("simulated crash before rename")
+        # a crash inside the append (before its bytes land, or before they
+        # are fsynced) must leave every earlier record intact, no stray
+        # temp file, and lose nothing on the next append
+        def refuse(*args):
+            raise OSError("simulated crash")
 
-        monkeypatch.setattr(os, "replace", refuse)
-        with pytest.raises(OSError, match="simulated crash"):
-            store.extend([_result(1, run_key="k1")])
-        monkeypatch.undo()
+        for seed, point in ((1, "write"), (2, "fsync")):
+            monkeypatch.setattr(os, point, refuse)
+            with pytest.raises(OSError, match="simulated crash"):
+                store.extend([_result(seed, run_key=f"k{seed}")])
+            monkeypatch.undo()
+            assert (tmp_path / "crash.jsonl").read_text().startswith(before)
+            assert "k0" in store.run_keys()
+        # the fsync crash came after the write, so k2's line did land
+        assert (tmp_path / "crash.jsonl").read_text() != before
 
-        assert open(store.path).read() == before
-        assert store.run_keys() == {"k0"}
+        store.extend([_result(3, run_key="k3")])
+        assert store.run_keys() == {"k0", "k2", "k3"}
         assert [p.name for p in tmp_path.iterdir()] == ["crash.jsonl"]
+
+    def test_torn_fragment_does_not_swallow_next_record(self, tmp_path):
+        store = ResultsStore(str(tmp_path / "glued.jsonl"))
+        store.extend([_result(0, run_key="k0"), _result(1, run_key="k1")])
+        with open(store.path, "a") as handle:
+            handle.write('{"dataset": "d", "ran')
+        store.extend([_result(2, run_key="k2"), _result(3, run_key="k3")])
+        # the fragment is terminated on its own line, so k2 survives
+        assert store.run_keys() == {"k0", "k1", "k2", "k3"}
+        assert [r.run_key for r in store.load(strict=False)] == [
+            "k0", "k1", "k2", "k3"
+        ]
+        with pytest.raises(ValueError):
+            store.load(strict=True)
+
+    def test_extend_reads_at_most_the_last_byte(self, tmp_path, monkeypatch):
+        import builtins
+        import os
+
+        store = ResultsStore(str(tmp_path / "big.jsonl"))
+        reads = []
+        real_read, real_pread, real_open = os.read, os.pread, builtins.open
+
+        def spy_read(fd, n):
+            data = real_read(fd, n)
+            reads.append(len(data))
+            return data
+
+        def spy_pread(fd, n, offset):
+            data = real_pread(fd, n, offset)
+            reads.append(len(data))
+            return data
+
+        def spy_open(file, *args, **kwargs):
+            assert os.fspath(file) != store.path, "extend re-opened the store"
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(os, "read", spy_read)
+        monkeypatch.setattr(os, "pread", spy_pread)
+        monkeypatch.setattr(builtins, "open", spy_open)
+        for batch in range(5):
+            reads.clear()
+            store.extend([_result(10 * batch + i) for i in range(10)])
+            assert sum(reads) <= 1, reads
+        monkeypatch.undo()
+        assert len(store.load()) == 50
 
     def test_torn_final_line_recoverable(self, tmp_path):
         store = ResultsStore(str(tmp_path / "d.jsonl"))

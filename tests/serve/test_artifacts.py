@@ -63,6 +63,38 @@ class TestPacking:
         assert manifest["version"] == 1
 
 
+    def test_arrays_durable_before_manifest(self, tmp_path, monkeypatch):
+        import stat
+
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def spy_fsync(fd):
+            if not stat.S_ISDIR(os.fstat(fd).st_mode):
+                events.append(("fsync", os.fstat(fd).st_ino))
+            return real_fsync(fd)
+
+        def spy_replace(src, dst):
+            name, inode = os.path.basename(dst), os.stat(src).st_ino
+            events.append(("replace", name, inode))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        save_artifact(str(tmp_path / "art"), {"w": np.arange(3.0)})
+        monkeypatch.undo()
+
+        replaced = [e[1] for e in events if e[0] == "replace"]
+        assert replaced == [ARRAYS_NAME, MANIFEST_NAME]
+        npz_replace = next(e for e in events if e[1:2] == (ARRAYS_NAME,))
+        npz_at = events.index(npz_replace)
+        # the npz's own temp file was fsynced before its rename, and both
+        # came before the manifest that references it was published
+        assert ("fsync", npz_replace[2]) in events[:npz_at]
+        loaded = load_artifact(str(tmp_path / "art"))
+        assert np.array_equal(loaded["w"], np.arange(3.0))
+
+
 class TestPipelineArtifact:
     def test_save_load_roundtrip_predictions(self, fitted, tmp_path):
         experiment, prepared, trained, result, pipeline = fitted

@@ -2,8 +2,8 @@
 
 Covers the redundant-work sites the presorted-induction refactor removes:
 the Figure-2 decision-tree tuning grid (candidates x 5 folds on
-germancredit-scale data), single deep tree fits, one-vs-rest linear
-training, and the confusion-matrix evaluation path.
+germancredit-scale data), single deep tree fits, and the
+confusion-matrix evaluation path.
 
 Usage::
 
@@ -20,8 +20,8 @@ per-benchmark speedup table. ``--scale`` times single deep tree fits at
 (in the <=256-distinct regime where both produce the identical tree) and
 records the points under the ``scale`` key. ``--smoke`` runs the
 workloads once at a small scale, verifies the identity invariants of the
-fast paths (presort hint, ``n_jobs`` fan-out, vectorized one-vs-rest,
-coded confusion matrix, histogram == exact tree in-regime), and asserts
+fast paths (presort hint, ``n_jobs`` fan-out, coded confusion matrix,
+histogram == exact tree in-regime), and asserts
 the committed speedup trajectory — micro and scale points — still meets
 its floors, so CI catches both a broken fast path and a silently
 regressed recording.
@@ -46,8 +46,6 @@ from repro.datasets import load_dataset
 from repro.learn import (
     DecisionTreeClassifier,
     GridSearchCV,
-    LogisticRegressionGD,
-    SGDClassifier,
     confusion_matrix,
 )
 
@@ -82,14 +80,6 @@ def _featurized(name: str, n_rows: int, seed: int = 0):
     frame = ModeImputer().fit(frame, columns, seed).handle_missing(frame)
     data = Featurizer(spec).fit(frame).transform(frame)
     return data.features, data.labels
-
-
-def _multiclass(n: int, d: int, n_classes: int, seed: int = 0):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, d))
-    centers = rng.normal(size=(n_classes, d))
-    y = np.argmax(X @ centers.T, axis=1)
-    return X, y
 
 
 def _time(fn, repeats: int) -> float:
@@ -130,20 +120,6 @@ def run_benchmarks(n_rows: int, repeats: int) -> dict:
         lambda: DecisionTreeClassifier(
             criterion="gini", max_depth=None, random_state=0
         ).fit(X, y),
-        repeats,
-    )
-
-    Xm, ym = _multiclass(4 * n_rows, 40, 6)
-    timings["ovr_sgd_fit"] = _time(
-        lambda: SGDClassifier(
-            loss="log", max_iter=5, batch_size=64, random_state=0
-        ).fit(Xm, ym),
-        repeats,
-    )
-    # imputer-style shape: many classes, cache-sized target stack
-    Xg, yg = _multiclass(n_rows, 20, 12)
-    timings["ovr_gd_fit"] = _time(
-        lambda: LogisticRegressionGD(max_iter=60, random_state=0).fit(Xg, yg),
         repeats,
     )
 
@@ -296,17 +272,7 @@ def check_invariants(n_rows: int) -> None:
     ).fit(X, y)
     assert serial.cv_results_ == fanned.cv_results_, "n_jobs changed grid scores"
 
-    # 3. vectorized one-vs-rest == the per-class loop, byte for byte
-    Xm, ym = _multiclass(400, 12, 4)
-    model = SGDClassifier(loss="log", max_iter=5, batch_size=32, random_state=3)
-    model.fit(Xm, ym)
-    for index, klass in enumerate(model.classes_):
-        signs = np.where(ym == klass, 1.0, -1.0)
-        w, b = model._fit_binary(Xm, signs, np.ones(len(ym)))
-        assert np.array_equal(model.coef_[index], w), "OvR coefficients drifted"
-        assert model.intercept_[index] == b, "OvR intercepts drifted"
-
-    # 4. coded confusion matrix == the dict-lookup accumulation
+    # 3. coded confusion matrix == the dict-lookup accumulation
     rng = np.random.default_rng(1)
     labels = ["a", "b", "c"]
     y_true = np.asarray(labels, dtype=object)[rng.integers(0, 3, 500)]
@@ -319,7 +285,7 @@ def check_invariants(n_rows: int) -> None:
         slow[index[t], index[p]] += weight
     assert np.array_equal(fast, slow), "confusion_matrix fast path drifted"
 
-    # 5. cross_val_score scoring hook is honoured
+    # 4. cross_val_score scoring hook is honoured
     def inverted(model, X_val, y_val):
         return -accuracy_score(y_val, model.predict(X_val))
 
@@ -329,7 +295,7 @@ def check_invariants(n_rows: int) -> None:
     )
     assert (scores <= 0).all(), "custom scoring ignored by cross_val_score"
 
-    # 6. the histogram backend reproduces the exact tree in the <=256
+    # 5. the histogram backend reproduces the exact tree in the <=256
     #    distinct / unit-weight regime, and auto stays exact at paper scale
     Xh, yh = _scale_matrix(5_000)
     exact = DecisionTreeClassifier(max_depth=SCALE_DEPTH).fit(
@@ -348,7 +314,7 @@ def check_invariants(n_rows: int) -> None:
         "presort='auto' changed the tree at paper scale"
     )
 
-    # 7. telemetry must be free when off: spans default to the shared
+    # 6. telemetry must be free when off: spans default to the shared
     #    no-op (no per-call allocation), its call cost stays micro, and a
     #    traced fit reproduces the untraced tree node for node
     from repro import telemetry
@@ -382,7 +348,7 @@ def check_invariants(n_rows: int) -> None:
         "tracing changed the induced tree"
     )
 
-    # 8. the committed trajectory still meets its floors
+    # 7. the committed trajectory still meets its floors
     if os.path.exists(BENCH_JSON):
         with open(BENCH_JSON) as handle:
             recorded = json.load(handle)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-import tempfile
+import uuid
 
 
 def _write_synced(fd: int, data: bytes) -> None:
@@ -28,7 +28,10 @@ def _fsync_directory(path: str) -> None:
 def atomic_replace(path: str, data: bytes) -> None:
     """Publish ``data`` at ``path``: readers see old or new, never a mix."""
     directory, name = os.path.split(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".", suffix=".tmp")
+    tmp = os.path.join(directory, f"{name}.{uuid.uuid4().hex}.tmp")
+    # 0o644 minus the umask, as append_records creates the results log
+    # (mkstemp would publish every document 0600)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
     try:
         try:
             _write_synced(fd, data)

@@ -15,16 +15,8 @@ from typing import Optional
 
 import numpy as np
 
+from ...learn.linear import _sigmoid
 from ..dataset import BinaryLabelDataset, GroupSpec
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    expz = np.exp(z[~positive])
-    out[~positive] = expz / (1.0 + expz)
-    return out
 
 
 class AdversarialDebiasing:

@@ -17,7 +17,7 @@ from .base import (
 )
 from .encoders import FrequencyEncoder, SVDEmbeddingEncoder, TargetEncoder
 from .impute import SimpleImputer
-from .linear import LogisticRegressionGD, SGDClassifier
+from .linear import SGDClassifier
 from .metrics import (
     accuracy_score,
     balanced_accuracy_score,
@@ -66,7 +66,6 @@ __all__ = [
     "KFold",
     "KNeighborsClassifier",
     "LabelEncoder",
-    "LogisticRegressionGD",
     "MISSING_CATEGORY",
     "MinMaxScaler",
     "NoOpScaler",

@@ -1,4 +1,4 @@
-"""Linear classifiers trained with stochastic / full-batch gradient descent.
+"""Linear classifier trained by minibatch stochastic gradient descent.
 
 :class:`SGDClassifier` mirrors the scikit-learn estimator the paper uses as
 its logistic-regression baseline (``SGDClassifier(loss='log')``): the same
@@ -6,6 +6,9 @@ its logistic-regression baseline (``SGDClassifier(loss='log')``): the same
 surface (l2 / l1 / elasticnet over ``alpha``), and per-sample weighting.
 Because the schedule is calibrated for standardized features, training on
 raw-scale features diverges or stalls exactly as in Figure 3 of the paper.
+Every fit runs one binary training loop: a binary target is one fit for
+``classes_[1]``, and a multi-class target is one-vs-rest, one independent
+binary fit per class.
 """
 
 from __future__ import annotations
@@ -25,16 +28,6 @@ from .base import (
 
 _LOSSES = ("log", "hinge")
 _PENALTIES = ("l2", "l1", "elasticnet", "none")
-
-# full-batch one-vs-rest: stack targets into one (targets × samples)
-# problem only while the intermediates stay cache-sized; beyond this the
-# per-target loop is faster (both paths are byte-identical)
-_OVR_STACK_LIMIT = 16384
-
-# minibatch one-vs-rest keeps its per-batch working set small, so its
-# stacked signs matrix is capped only by memory (128 MB of float64),
-# past which the per-class loop bounds allocation at O(n)
-_OVR_SIGNS_LIMIT = 1 << 24
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -104,114 +97,26 @@ class SGDClassifier(BaseEstimator, ClassifierMixin):
             )
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
+        if not 0.0 <= self.l1_ratio <= 1.0:
+            raise ValueError(f"l1_ratio must be in [0, 1], got {self.l1_ratio!r}")
         X = check_matrix(X)
         y = check_labels(y, X.shape[0])
         sample_weight = check_sample_weight(sample_weight, X.shape[0])
         self.classes_ = np.unique(y)
         if len(self.classes_) < 2:
             raise ValueError("need at least two classes to fit a classifier")
-        if len(self.classes_) == 2:
-            signs = np.where(y == self.classes_[1], 1.0, -1.0)
+        # binary targets need one fit (for classes_[1]); multi-class
+        # targets are one-vs-rest, one independent binary fit per class
+        targets = self.classes_[1:] if len(self.classes_) == 2 else self.classes_
+        coefs, intercepts = [], []
+        for klass in targets:
+            signs = np.where(y == klass, 1.0, -1.0)
             w, b = self._fit_binary(X, signs, sample_weight)
-            self.coef_ = w.reshape(1, -1)
-            self.intercept_ = np.asarray([b])
-        elif len(self.classes_) * X.shape[0] <= _OVR_SIGNS_LIMIT:
-            # one-vs-rest for multi-class targets, all classes trained
-            # through a single epoch loop (byte-identical to the
-            # per-class loop; see _fit_ovr)
-            signs = np.where(y[None, :] == self.classes_[:, None], 1.0, -1.0)
-            self.coef_, self.intercept_ = self._fit_ovr(X, signs, sample_weight)
-        else:
-            # stacked signs would not fit comfortably in memory; the
-            # per-class loop produces byte-identical coefficients
-            coefs, intercepts = [], []
-            for klass in self.classes_:
-                signs = np.where(y == klass, 1.0, -1.0)
-                w, b = self._fit_binary(X, signs, sample_weight)
-                coefs.append(w)
-                intercepts.append(b)
-            self.coef_ = np.vstack(coefs)
-            self.intercept_ = np.asarray(intercepts)
+            coefs.append(w)
+            intercepts.append(b)
+        self.coef_ = np.vstack(coefs)
+        self.intercept_ = np.asarray(intercepts)
         return self
-
-    def _fit_ovr(self, X, signs, sample_weight):
-        """Train every one-vs-rest problem through one shared epoch loop.
-
-        The per-class loop seeds an identical RNG stream for every class,
-        so all classes see the same permutation at the same epoch — one
-        shared draw per epoch reproduces it. All elementwise work
-        (activations, penalties, updates, divergence guards) runs on a
-        (classes × ...) weight matrix at once; only the two projections
-        per batch stay per-class matrix-vector products, because BLAS
-        matrix-matrix products round differently and the coefficients are
-        required to be byte-identical to independent binary fits.
-        """
-        n_samples, n_features = X.shape
-        n_classes = signs.shape[0]
-        rng = np.random.default_rng(self.random_state)
-        coef = np.zeros((n_classes, n_features))
-        intercept = np.zeros(n_classes)
-        t = self._optimal_init()
-        previous = np.full(n_classes, np.inf)
-        active = np.arange(n_classes)
-        batch = max(1, int(self.batch_size))
-        for _ in range(int(self.max_iter)):
-            if active.size == 0:
-                break
-            order = rng.permutation(n_samples) if self.shuffle else np.arange(n_samples)
-            w = coef[active]
-            b = intercept[active]
-            active_signs = signs[active]
-            k = active.size
-            for start in range(0, n_samples, batch):
-                idx = order[start : start + batch]
-                xb, sb, wb = X[idx], active_signs[:, idx], sample_weight[idx]
-                eta = self._eta(t)
-                t += len(idx)
-                grad_w, grad_b = self._ovr_gradient(xb, sb, wb, w, b, k)
-                w = self._apply_penalty(w, eta)
-                w -= eta * grad_w
-                b = b - eta * grad_b
-                finite = np.isfinite(w).all(axis=1)
-                if not finite.all():
-                    # diverged (typically unscaled features): freeze the
-                    # affected classes at the last finite state
-                    bad = ~finite
-                    w[bad] = np.nan_to_num(w[bad], nan=0.0, posinf=1e12, neginf=-1e12)
-                    b[bad] = np.nan_to_num(b[bad], nan=0.0, posinf=1e12, neginf=-1e12)
-            epoch_loss = np.empty(k)
-            for row in range(k):
-                epoch_loss[row] = self._mean_loss(
-                    X, active_signs[row], sample_weight, w[row], b[row]
-                )
-            done = np.isfinite(epoch_loss) & (previous[active] - epoch_loss < self.tol)
-            coef[active] = w
-            intercept[active] = b
-            previous[active] = epoch_loss
-            active = active[~done]
-        return coef, intercept
-
-    def _ovr_gradient(self, xb, sb, wb, w, b, k):
-        """Per-class loss gradients; the per-class matvec mirrors
-        :meth:`_loss_gradient` operand for operand."""
-        margins = np.empty((k, len(xb)))
-        for row in range(k):
-            margins[row] = xb @ w[row]
-        margins += b[:, None]
-        if self.loss == "log":
-            coeff = -sb * _sigmoid(-sb * margins) * wb
-        else:  # hinge
-            active = (sb * margins) < 1.0
-            coeff = np.where(active, -sb, 0.0) * wb
-        total = wb.sum()
-        if total == 0:
-            return np.zeros_like(w), np.zeros(k)
-        grad_w = np.empty_like(w)
-        for row in range(k):
-            grad_w[row] = xb.T @ coeff[row]
-        grad_w /= total
-        grad_b = coeff.sum(axis=1) / total
-        return grad_w, grad_b
 
     def _fit_binary(self, X, signs, sample_weight):
         n_samples, n_features = X.shape
@@ -335,167 +240,6 @@ class SGDClassifier(BaseEstimator, ClassifierMixin):
 
     @classmethod
     def from_state(cls, state: dict) -> "SGDClassifier":
-        model = cls(**state["params"])
-        model.classes_ = labels_from_state(state["classes_"])
-        model.coef_ = np.asarray(state["coef_"], dtype=np.float64)
-        model.intercept_ = np.asarray(state["intercept_"], dtype=np.float64)
-        return model
-
-
-@serializable
-class LogisticRegressionGD(BaseEstimator, ClassifierMixin):
-    """Full-batch gradient-descent logistic regression (binary or OvR).
-
-    A deliberately stable optimizer with a fixed step size; used where the
-    framework itself needs a dependable model (e.g. the learned missing-value
-    imputer) as opposed to studying optimizer pathologies.
-    """
-
-    def __init__(
-        self,
-        alpha: float = 1e-4,
-        learning_rate: float = 0.5,
-        max_iter: int = 200,
-        tol: float = 1e-6,
-        random_state: Optional[int] = None,
-    ):
-        self.alpha = alpha
-        self.learning_rate = learning_rate
-        self.max_iter = max_iter
-        self.tol = tol
-        self.random_state = random_state
-
-    def fit(self, X, y, sample_weight=None) -> "LogisticRegressionGD":
-        X = check_matrix(X)
-        y = check_labels(y, X.shape[0])
-        sample_weight = check_sample_weight(sample_weight, X.shape[0])
-        self.classes_ = np.unique(y)
-        if len(self.classes_) < 2:
-            raise ValueError("need at least two classes to fit a classifier")
-        targets = (
-            [self.classes_[1]] if len(self.classes_) == 2 else list(self.classes_)
-        )
-        onehot = np.empty((len(targets), X.shape[0]))
-        for row, klass in enumerate(targets):
-            onehot[row] = (y == klass).astype(np.float64)
-        if onehot.size <= _OVR_STACK_LIMIT:
-            self.coef_, self.intercept_ = self._fit_ovr(X, onehot, sample_weight)
-        else:
-            # the stacked (targets × samples) intermediates would fall
-            # out of cache; per-target vectors are faster there and the
-            # two paths produce byte-identical coefficients
-            coefs, intercepts = [], []
-            for row in range(onehot.shape[0]):
-                w, b = self._fit_one(X, onehot[row], sample_weight)
-                coefs.append(w)
-                intercepts.append(b)
-            self.coef_ = np.vstack(coefs)
-            self.intercept_ = np.asarray(intercepts)
-        return self
-
-    def _fit_one(self, X, t, sample_weight):
-        n_samples, n_features = X.shape
-        w = np.zeros(n_features)
-        b = 0.0
-        weights = sample_weight / sample_weight.sum()
-        previous = np.inf
-        for _ in range(int(self.max_iter)):
-            p = _sigmoid(X @ w + b)
-            error = (p - t) * weights
-            grad_w = X.T @ error + self.alpha * w
-            grad_b = error.sum()
-            w -= self.learning_rate * grad_w
-            b -= self.learning_rate * grad_b
-            loss = float(
-                -(
-                    weights
-                    * (t * np.log(p + 1e-12) + (1 - t) * np.log(1 - p + 1e-12))
-                ).sum()
-            )
-            if previous - loss < self.tol:
-                break
-            previous = loss
-        return w, b
-
-    def _fit_ovr(self, X, targets, sample_weight):
-        """Full-batch gradient descent over all targets at once.
-
-        All elementwise work runs on a (targets × ...) weight matrix;
-        the two projections per iteration stay per-target matrix-vector
-        products so the coefficients are byte-identical to independent
-        per-target fits (BLAS matrix-matrix products round differently).
-        Targets converge independently: a finished target drops out of
-        the active set while the others keep iterating.
-        """
-        n_samples, n_features = X.shape
-        n_targets = targets.shape[0]
-        coef = np.zeros((n_targets, n_features))
-        intercept = np.zeros(n_targets)
-        weights = sample_weight / sample_weight.sum()
-        previous = np.full(n_targets, np.inf)
-        active = np.arange(n_targets)
-        for _ in range(int(self.max_iter)):
-            if active.size == 0:
-                break
-            w = coef[active]
-            b = intercept[active]
-            t = targets[active]
-            k = active.size
-            margins = np.empty((k, n_samples))
-            for row in range(k):
-                margins[row] = X @ w[row]
-            margins += b[:, None]
-            p = _sigmoid(margins)
-            error = (p - t) * weights
-            grad_b = error.sum(axis=1)
-            grad_w = np.empty_like(w)
-            for row in range(k):
-                grad_w[row] = X.T @ error[row]
-            grad_w += self.alpha * w
-            w = w - self.learning_rate * grad_w
-            b = b - self.learning_rate * grad_b
-            loss = -(
-                weights
-                * (t * np.log(p + 1e-12) + (1 - t) * np.log(1 - p + 1e-12))
-            ).sum(axis=1)
-            done = previous[active] - loss < self.tol
-            coef[active] = w
-            intercept[active] = b
-            previous[active] = loss
-            active = active[~done]
-        return coef, intercept
-
-    def decision_function(self, X) -> np.ndarray:
-        self._check_fitted("coef_", "intercept_")
-        X = check_matrix(X)
-        scores = X @ self.coef_.T + self.intercept_
-        return scores.ravel() if scores.shape[1] == 1 else scores
-
-    def predict_proba(self, X) -> np.ndarray:
-        scores = self.decision_function(X)
-        if scores.ndim == 1:
-            p1 = _sigmoid(scores)
-            return np.column_stack([1.0 - p1, p1])
-        raw = _sigmoid(scores)
-        totals = raw.sum(axis=1, keepdims=True)
-        totals[totals == 0.0] = 1.0
-        return raw / totals
-
-    def predict(self, X) -> np.ndarray:
-        proba = self.predict_proba(X)
-        return self.classes_[np.argmax(proba, axis=1)]
-
-    def to_state(self) -> dict:
-        self._check_fitted("coef_", "intercept_")
-        return {
-            "params": self.get_params(),
-            "classes_": labels_to_state(self.classes_),
-            "coef_": self.coef_,
-            "intercept_": self.intercept_,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "LogisticRegressionGD":
         model = cls(**state["params"])
         model.classes_ = labels_from_state(state["classes_"])
         model.coef_ = np.asarray(state["coef_"], dtype=np.float64)

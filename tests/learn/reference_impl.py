@@ -1,10 +1,11 @@
 """Frozen reference implementations for the presort/vectorization goldens.
 
 These are verbatim copies of the pre-presort (per-node argsort) decision
-tree splitter and of the per-class one-vs-rest training loops, kept only
-so the golden tests can assert that the optimized backends reproduce the
-seed behaviour node-for-node and byte-for-byte. Do not "fix" or optimize
-this module — its value is that it does the work the slow way.
+tree splitter and of the binary SGD training loop, kept only so the
+golden tests can assert that the production learners reproduce the seed
+behaviour node-for-node and byte-for-byte — and so a future stacked SGD
+kernel has a fixed target to match. Do not "fix" or optimize this module:
+its value is that it does the work the slow way.
 """
 
 from __future__ import annotations
@@ -248,63 +249,122 @@ class ReferenceDecisionTree(BaseEstimator, ClassifierMixin):
         return self.classes_[np.argmax(proba, axis=1)]
 
 
-def fit_ovr_per_class(model, X, y):
-    """The seed multi-class path: one independent binary fit per class.
+def fit_ovr_per_class(model, X, y, sample_weight=None):
+    """The seed SGDClassifier path: one independent binary fit per target.
 
-    ``model`` must be an (unfitted) SGDClassifier clone; returns the
-    stacked coefficients and intercepts the per-class loop produces.
+    ``model`` is an (unfitted) SGDClassifier; only its parameters are
+    read, and the frozen :class:`_ReferenceSGD` loop trains with them.
+    A binary ``y`` has one target (``classes[1]``); a multi-class ``y``
+    one per class. Returns the stacked coefficients and intercepts.
     """
-    X = check_matrix(X)
-    y = check_labels(y, X.shape[0])
-    sample_weight = check_sample_weight(None, X.shape[0])
-    classes = np.unique(y)
-    coefs, intercepts = [], []
-    for klass in classes:
-        signs = np.where(y == klass, 1.0, -1.0)
-        w, b = model._fit_binary(X, signs, sample_weight)
-        coefs.append(w)
-        intercepts.append(b)
-    return np.vstack(coefs), np.asarray(intercepts)
-
-
-def fit_gd_per_target(model, X, y, sample_weight=None):
-    """The seed LogisticRegressionGD path: one ``_fit_one`` per target."""
+    reference = _ReferenceSGD(model)
     X = check_matrix(X)
     y = check_labels(y, X.shape[0])
     sample_weight = check_sample_weight(sample_weight, X.shape[0])
     classes = np.unique(y)
-    targets = [classes[1]] if len(classes) == 2 else list(classes)
+    targets = classes[1:] if len(classes) == 2 else classes
     coefs, intercepts = [], []
     for klass in targets:
-        t = (y == klass).astype(np.float64)
-        w, b = _reference_fit_one(model, X, t, sample_weight)
+        signs = np.where(y == klass, 1.0, -1.0)
+        w, b = reference._fit_binary(X, signs, sample_weight)
         coefs.append(w)
         intercepts.append(b)
     return np.vstack(coefs), np.asarray(intercepts)
 
 
-def _reference_fit_one(model, X, t, sample_weight):
-    from repro.learn.linear import _sigmoid
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function."""
+    out = np.empty_like(z)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    expz = np.exp(z[~positive])
+    out[~positive] = expz / (1.0 + expz)
+    return out
 
-    n_samples, n_features = X.shape
-    w = np.zeros(n_features)
-    b = 0.0
-    weights = sample_weight / sample_weight.sum()
-    previous = np.inf
-    for _ in range(int(model.max_iter)):
-        p = _sigmoid(X @ w + b)
-        error = (p - t) * weights
-        grad_w = X.T @ error + model.alpha * w
-        grad_b = error.sum()
-        w -= model.learning_rate * grad_w
-        b -= model.learning_rate * grad_b
-        loss = float(
-            -(
-                weights
-                * (t * np.log(p + 1e-12) + (1 - t) * np.log(1 - p + 1e-12))
-            ).sum()
-        )
-        if previous - loss < model.tol:
-            break
-        previous = loss
-    return w, b
+
+def _soft_threshold(w: np.ndarray, threshold: float) -> np.ndarray:
+    return np.sign(w) * np.maximum(np.abs(w) - threshold, 0.0)
+
+
+class _ReferenceSGD:
+    """The seed ``SGDClassifier`` binary trainer, method for method."""
+
+    def __init__(self, model):
+        self.__dict__.update(model.get_params())
+
+    def _fit_binary(self, X, signs, sample_weight):
+        n_samples, n_features = X.shape
+        rng = np.random.default_rng(self.random_state)
+        w = np.zeros(n_features)
+        b = 0.0
+        t = self._optimal_init()
+        previous_loss = np.inf
+        batch = max(1, int(self.batch_size))
+        for _ in range(int(self.max_iter)):
+            order = rng.permutation(n_samples) if self.shuffle else np.arange(n_samples)
+            for start in range(0, n_samples, batch):
+                idx = order[start : start + batch]
+                xb, sb, wb = X[idx], signs[idx], sample_weight[idx]
+                eta = self._eta(t)
+                t += len(idx)
+                grad_w, grad_b = self._loss_gradient(xb, sb, wb, w, b)
+                w = self._apply_penalty(w, eta)
+                w -= eta * grad_w
+                b -= eta * grad_b
+                if not np.all(np.isfinite(w)):
+                    # diverged (typically unscaled features): freeze at the
+                    # last finite state, mirroring a failed real-world run
+                    w = np.nan_to_num(w, nan=0.0, posinf=1e12, neginf=-1e12)
+                    b = float(np.nan_to_num(b, nan=0.0, posinf=1e12, neginf=-1e12))
+            epoch_loss = self._mean_loss(X, signs, sample_weight, w, b)
+            if np.isfinite(epoch_loss) and previous_loss - epoch_loss < self.tol:
+                break
+            previous_loss = epoch_loss
+        return w, b
+
+    def _loss_gradient(self, xb, sb, wb, w, b):
+        margin = xb @ w + b
+        if self.loss == "log":
+            # d/dz log(1 + exp(-s z)) = -s * sigmoid(-s z)
+            coeff = -sb * _sigmoid(-sb * margin) * wb
+        else:  # hinge
+            active = (sb * margin) < 1.0
+            coeff = np.where(active, -sb, 0.0) * wb
+        total = wb.sum()
+        if total == 0:
+            return np.zeros_like(w), 0.0
+        grad_w = xb.T @ coeff / total
+        grad_b = coeff.sum() / total
+        return grad_w, grad_b
+
+    def _apply_penalty(self, w, eta):
+        if self.penalty == "none" or self.alpha == 0.0:
+            return w
+        if self.penalty == "l2":
+            return w * (1.0 - eta * self.alpha)
+        if self.penalty == "l1":
+            return _soft_threshold(w, eta * self.alpha)
+        # elasticnet
+        w = w * (1.0 - eta * self.alpha * (1.0 - self.l1_ratio))
+        return _soft_threshold(w, eta * self.alpha * self.l1_ratio)
+
+    def _mean_loss(self, X, signs, sample_weight, w, b):
+        margin = signs * (X @ w + b)
+        if self.loss == "log":
+            losses = np.logaddexp(0.0, -margin)
+        else:
+            losses = np.maximum(0.0, 1.0 - margin)
+        return float(np.average(losses, weights=sample_weight))
+
+    def _optimal_init(self) -> float:
+        """Bottou's t0 heuristic used by scikit-learn's 'optimal' schedule."""
+        alpha = max(self.alpha, 1e-10)
+        typw = np.sqrt(1.0 / np.sqrt(alpha))
+        if self.loss == "log":
+            initial_eta0 = typw / max(1.0, _sigmoid(typw))
+        else:
+            initial_eta0 = typw / max(1.0, 1.0 + typw)
+        return 1.0 / (initial_eta0 * alpha)
+
+    def _eta(self, t: float) -> float:
+        return 1.0 / (max(self.alpha, 1e-10) * t)

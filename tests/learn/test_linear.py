@@ -1,9 +1,9 @@
-"""Unit tests for SGDClassifier and LogisticRegressionGD."""
+"""Unit tests for SGDClassifier."""
 
 import numpy as np
 import pytest
 
-from repro.learn import LogisticRegressionGD, SGDClassifier, StandardScaler
+from repro.learn import SGDClassifier, StandardScaler
 
 
 def _blobs(seed=0, n=300, separation=4.0):
@@ -111,6 +111,9 @@ class TestSGDClassifier:
             SGDClassifier(loss="squared").fit(X, y)
         with pytest.raises(ValueError, match="penalty"):
             SGDClassifier(penalty="l3").fit(X, y)
+        for l1_ratio in (1.5, -0.1):
+            with pytest.raises(ValueError, match="l1_ratio"):
+                SGDClassifier(penalty="elasticnet", l1_ratio=l1_ratio).fit(X, y)
 
     def test_feature_width_check_at_predict(self):
         X, y = _blobs(n=20)
@@ -123,42 +126,3 @@ class TestSGDClassifier:
         labels = np.where(y == 1, "good", "bad")
         model = SGDClassifier(random_state=0).fit(X, labels)
         assert set(model.predict(X)) <= {"good", "bad"}
-
-
-class TestLogisticRegressionGD:
-    def test_learns_blobs(self):
-        X, y = _blobs()
-        model = LogisticRegressionGD().fit(X, y)
-        assert model.score(X, y) > 0.95
-
-    def test_proba_monotone_in_score(self):
-        X, y = _blobs()
-        model = LogisticRegressionGD().fit(X, y)
-        scores = model.decision_function(X)
-        proba = model.predict_proba(X)[:, 1]
-        order = np.argsort(scores)
-        assert (np.diff(proba[order]) >= -1e-12).all()
-
-    def test_multiclass(self):
-        rng = np.random.default_rng(3)
-        centers = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
-        X = np.vstack([rng.normal(c, 0.6, size=(50, 2)) for c in centers])
-        y = np.repeat(["a", "b", "c"], 50)
-        model = LogisticRegressionGD().fit(X, y)
-        assert model.score(X, y) > 0.9
-
-    def test_sample_weight_effect(self):
-        X = np.array([[-1.0], [1.0], [1.2]])
-        y = np.array([0, 1, 0])
-        # upweight the contrarian point; boundary should move right
-        heavy = LogisticRegressionGD().fit(X, y, sample_weight=np.array([1.0, 1.0, 50.0]))
-        light = LogisticRegressionGD().fit(X, y, sample_weight=np.array([1.0, 1.0, 0.1]))
-        assert heavy.predict_proba(np.array([[1.2]]))[0, 1] < light.predict_proba(
-            np.array([[1.2]])
-        )[0, 1]
-
-    def test_deterministic(self):
-        X, y = _blobs()
-        a = LogisticRegressionGD().fit(X, y)
-        b = LogisticRegressionGD().fit(X, y)
-        assert np.allclose(a.coef_, b.coef_)

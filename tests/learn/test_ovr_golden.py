@@ -1,12 +1,13 @@
-"""Golden tests: vectorized one-vs-rest training is byte-identical to the
-per-class loops it replaced (fixed seed, all losses and penalties)."""
+"""Golden tests: SGDClassifier's binary and one-vs-rest fits are
+byte-identical to the frozen seed training loop in ``reference_impl``
+(fixed seed, all losses and penalties, weights, and divergence)."""
 
 import numpy as np
 import pytest
 
-from repro.learn import LogisticRegressionGD, SGDClassifier
+from repro.learn import SGDClassifier
 
-from .reference_impl import fit_gd_per_target, fit_ovr_per_class
+from .reference_impl import fit_ovr_per_class
 
 
 def multiclass(n, d, n_classes, seed=0):
@@ -17,6 +18,23 @@ def multiclass(n, d, n_classes, seed=0):
     return X, np.asarray([f"class_{i}" for i in range(n_classes)], dtype=object)[y]
 
 
+def binary(n, d, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    y = (X @ rng.normal(size=d) + 0.5 * rng.normal(size=n) > 0).astype(int)
+    return X, y
+
+
+def assert_matches_reference(spec, X, y, sample_weight=None):
+    model = SGDClassifier(**spec).fit(X, y, sample_weight=sample_weight)
+    coef, intercept = fit_ovr_per_class(
+        SGDClassifier(**spec), X, y, sample_weight=sample_weight
+    )
+    assert np.array_equal(model.coef_, coef)
+    assert np.array_equal(model.intercept_, intercept)
+    return model
+
+
 class TestSGDOneVsRest:
     @pytest.mark.parametrize("loss", ["log", "hinge"])
     @pytest.mark.parametrize("penalty", ["l2", "l1", "elasticnet", "none"])
@@ -25,28 +43,19 @@ class TestSGDOneVsRest:
         spec = dict(
             loss=loss, penalty=penalty, max_iter=6, batch_size=32, random_state=5
         )
-        model = SGDClassifier(**spec).fit(X, y)
-        coef, intercept = fit_ovr_per_class(SGDClassifier(**spec), X, y)
-        assert np.array_equal(model.coef_, coef)
-        assert np.array_equal(model.intercept_, intercept)
+        assert_matches_reference(spec, X, y)
 
     def test_without_shuffling(self):
         X, y = multiclass(200, 8, 3, seed=2)
         spec = dict(loss="log", max_iter=4, batch_size=16, shuffle=False, random_state=0)
-        model = SGDClassifier(**spec).fit(X, y)
-        coef, intercept = fit_ovr_per_class(SGDClassifier(**spec), X, y)
-        assert np.array_equal(model.coef_, coef)
-        assert np.array_equal(model.intercept_, intercept)
+        assert_matches_reference(spec, X, y)
 
     def test_many_classes_with_uneven_convergence(self):
-        # enough epochs that some classes converge early and drop out of
-        # the shared loop while others keep training
+        # enough epochs that some classes stop early while others keep
+        # training: each class's convergence is its own
         X, y = multiclass(500, 12, 7, seed=4)
         spec = dict(loss="log", max_iter=25, batch_size=64, tol=1e-3, random_state=1)
-        model = SGDClassifier(**spec).fit(X, y)
-        coef, intercept = fit_ovr_per_class(SGDClassifier(**spec), X, y)
-        assert np.array_equal(model.coef_, coef)
-        assert np.array_equal(model.intercept_, intercept)
+        assert_matches_reference(spec, X, y)
 
     def test_predictions_cover_all_classes(self):
         X, y = multiclass(400, 10, 5)
@@ -55,43 +64,56 @@ class TestSGDOneVsRest:
         assert model.coef_.shape == (5, 10)
 
 
-class TestLogisticRegressionGDOneVsRest:
-    def test_multiclass_byte_identical(self):
-        X, y = multiclass(300, 9, 5, seed=1)
-        model = LogisticRegressionGD(max_iter=60, random_state=0).fit(X, y)
-        coef, intercept = fit_gd_per_target(
-            LogisticRegressionGD(max_iter=60, random_state=0), X, y
+class TestSGDBinary:
+    @pytest.mark.parametrize("loss", ["log", "hinge"])
+    @pytest.mark.parametrize("penalty", ["l2", "l1", "elasticnet", "none"])
+    def test_coefficients_byte_identical(self, loss, penalty):
+        X, y = binary(300, 10)
+        spec = dict(
+            loss=loss, penalty=penalty, max_iter=6, batch_size=32, random_state=5
         )
-        assert np.array_equal(model.coef_, coef)
-        assert np.array_equal(model.intercept_, intercept)
+        model = assert_matches_reference(spec, X, y)
+        assert model.coef_.shape == (1, 10)
 
-    def test_binary_byte_identical(self):
+    def test_without_shuffling(self):
+        X, y = binary(200, 8, seed=2)
+        spec = dict(loss="log", max_iter=4, batch_size=16, shuffle=False, random_state=0)
+        assert_matches_reference(spec, X, y)
+
+    def test_weighted_with_an_all_zero_weight_batch(self):
+        # unshuffled, so the first batch is exactly the zero-weight rows
+        # and its gradient takes the total == 0 branch
+        X, y = binary(240, 6, seed=3)
+        weights = np.random.default_rng(8).random(len(y)) * 3.0 + 0.1
+        weights[:16] = 0.0
+        spec = dict(loss="log", max_iter=5, batch_size=16, shuffle=False, random_state=0)
+        assert_matches_reference(spec, X, y, sample_weight=weights)
+        assert_matches_reference(dict(spec, loss="hinge"), X, y, sample_weight=weights)
+
+    @pytest.mark.parametrize("loss", ["log", "hinge"])
+    def test_overflowing_weights_hit_the_divergence_guard(self, monkeypatch, loss):
+        # features near the float64 limit overflow w within the first
+        # epochs, so training runs through the nan_to_num freeze
         rng = np.random.default_rng(0)
-        X = rng.normal(size=(250, 6))
+        X = rng.normal(size=(200, 2))
         y = (X[:, 0] + X[:, 1] > 0).astype(int)
-        model = LogisticRegressionGD(max_iter=100, random_state=0).fit(X, y)
-        coef, intercept = fit_gd_per_target(
-            LogisticRegressionGD(max_iter=100, random_state=0), X, y
-        )
-        assert np.array_equal(model.coef_, coef)
-        assert np.array_equal(model.intercept_, intercept)
+        calls = []
+        real = np.nan_to_num
 
-    def test_weighted_byte_identical(self):
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        spec = dict(loss=loss, max_iter=5, random_state=0)
+        monkeypatch.setattr(np, "nan_to_num", spy)
+        with np.errstate(all="ignore"):
+            assert_matches_reference(spec, X * 1e307, y)
+        assert calls, "the divergence guard never fired"
+
+
+class TestSGDWeightedOneVsRest:
+    def test_weighted_multiclass_byte_identical(self):
         X, y = multiclass(220, 7, 4, seed=6)
         weights = np.random.default_rng(9).random(len(y)) + 0.25
-        model = LogisticRegressionGD(max_iter=40, random_state=0).fit(
-            X, y, sample_weight=weights
-        )
-        coef, intercept = fit_gd_per_target(
-            LogisticRegressionGD(max_iter=40, random_state=0), X, y, sample_weight=weights
-        )
-        assert np.array_equal(model.coef_, coef)
-        assert np.array_equal(model.intercept_, intercept)
-
-    def test_uneven_convergence_across_targets(self):
-        X, y = multiclass(300, 8, 6, seed=3)
-        spec = dict(max_iter=150, tol=1e-5, random_state=0)
-        model = LogisticRegressionGD(**spec).fit(X, y)
-        coef, intercept = fit_gd_per_target(LogisticRegressionGD(**spec), X, y)
-        assert np.array_equal(model.coef_, coef)
-        assert np.array_equal(model.intercept_, intercept)
+        spec = dict(loss="log", penalty="elasticnet", max_iter=8, random_state=4)
+        assert_matches_reference(spec, X, y, sample_weight=weights)

@@ -1,13 +1,8 @@
 """Tests for the shared fork-based group runner (repro.parallel)."""
 
-import numpy as np
 import pytest
 
 from repro import parallel
-from repro.learn import SGDClassifier
-from repro.learn.linear import _OVR_SIGNS_LIMIT
-
-from .reference_impl import fit_ovr_per_class
 
 
 def _double(payload, group):
@@ -67,22 +62,3 @@ class TestRunGroups:
                 lambda index, group, result: seen.append(index),
             )
         assert seen == [0]
-
-
-class TestSGDSignsCap:
-    def test_loop_fallback_beyond_signs_limit(self, monkeypatch):
-        import repro.learn.linear as linear
-
-        X = np.random.default_rng(0).normal(size=(120, 6))
-        y = np.random.default_rng(1).integers(0, 4, 120)
-        spec = dict(loss="log", max_iter=4, batch_size=16, random_state=2)
-        stacked = SGDClassifier(**spec).fit(X, y)
-        monkeypatch.setattr(linear, "_OVR_SIGNS_LIMIT", 1)
-        looped = SGDClassifier(**spec).fit(X, y)
-        assert np.array_equal(stacked.coef_, looped.coef_)
-        assert np.array_equal(stacked.intercept_, looped.intercept_)
-        reference = fit_ovr_per_class(SGDClassifier(**spec), X, y)
-        assert np.array_equal(looped.coef_, reference[0])
-
-    def test_limit_is_memory_scaled(self):
-        assert _OVR_SIGNS_LIMIT >= 2**24

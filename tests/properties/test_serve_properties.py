@@ -25,7 +25,6 @@ from repro.learn import (
     GaussianNB,
     KNeighborsClassifier,
     LabelEncoder,
-    LogisticRegressionGD,
     MinMaxScaler,
     NoOpScaler,
     OneHotEncoder,
@@ -68,7 +67,9 @@ def _make_classification(seed):
 LEARNER_FACTORIES = [
     lambda: SGDClassifier(loss="log", max_iter=5, random_state=0),
     lambda: SGDClassifier(loss="hinge", penalty="l1", max_iter=4, random_state=1),
-    lambda: LogisticRegressionGD(max_iter=30, random_state=0),
+    lambda: SGDClassifier(
+        penalty="elasticnet", l1_ratio=0.5, max_iter=5, random_state=2
+    ),
     lambda: DecisionTreeClassifier(max_depth=5, random_state=0),
     lambda: DecisionTreeClassifier(criterion="entropy", min_samples_leaf=3),
     lambda: GaussianNB(),

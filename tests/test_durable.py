@@ -121,6 +121,20 @@ class TestAtomicReplace:
             atomic_replace(str(tmp_path / "index.json"), b"v%d" % version)
         assert events == ["fsync-file", "replace", "fsync-dir"] * 3
 
+    @pytest.mark.parametrize(
+        "umask", [0o022, 0o002, 0o077], ids=["022", "002", "077"]
+    )
+    def test_publishes_with_the_mode_append_records_creates(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            atomic_replace(str(tmp_path / "manifest.json"), b"{}")
+            append_records(str(tmp_path / "runs.jsonl"), _payload(0))
+        finally:
+            os.umask(previous)
+        published = stat.S_IMODE((tmp_path / "manifest.json").stat().st_mode)
+        appended = stat.S_IMODE((tmp_path / "runs.jsonl").stat().st_mode)
+        assert published == appended == 0o644 & ~umask
+
 
 class TestAppendRecords:
     @pytest.mark.parametrize(

@@ -3,26 +3,34 @@
 Covers the redundant-work sites the presorted-induction refactor removes:
 the Figure-2 decision-tree tuning grid (candidates x 5 folds on
 germancredit-scale data), single deep tree fits, and the
-confusion-matrix evaluation path.
+confusion-matrix evaluation path. Two live A/B cases time the SGD
+logistic-regression tuning grid: ``sgd_grid_fit`` (one candidate-stacked
+``fit_candidates`` per fold vs a loop of single fits) and
+``sgd_fit_single`` (the same single fits vs the frozen one-row trainer
+in ``tests/learn/reference_impl.py``); both legs run interleaved in one
+process.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_learn.py                    # print table
     PYTHONPATH=src python benchmarks/bench_learn.py --record baseline  # per-node argsort numbers
     PYTHONPATH=src python benchmarks/bench_learn.py --record current   # presorted-backend numbers
+    PYTHONPATH=src python benchmarks/bench_learn.py --record sgd       # SGD live A/B points
     PYTHONPATH=src python benchmarks/bench_learn.py --scale            # 100k/1M histogram-vs-exact
     PYTHONPATH=src python benchmarks/bench_learn.py --smoke            # tiny CI sanity run
 
 ``--record`` merges the timings into ``benchmarks/BENCH_learn.json``
 under the given phase key and, when both phases are present, recomputes the
-per-benchmark speedup table. ``--scale`` times single deep tree fits at
+per-benchmark speedup table; ``--record sgd`` runs only the SGD A/B
+cases and records them under the ``sgd`` key. ``--scale`` times single deep tree fits at
 100k and 1M rows on the exact presort backend vs the histogram backend
 (in the <=256-distinct regime where both produce the identical tree) and
 records the points under the ``scale`` key. ``--smoke`` runs the
 workloads once at a small scale, verifies the identity invariants of the
 fast paths (presort hint, ``n_jobs`` fan-out, coded confusion matrix,
-histogram == exact tree in-regime), and asserts
-the committed speedup trajectory — micro and scale points — still meets
+histogram == exact tree in-regime, stacked SGD == single fits ==
+frozen reference), asserts the SGD speedups just measured meet their
+floors, and asserts the committed speedup trajectory — micro and scale points — still meets
 its floors, so CI catches both a broken fast path and a silently
 regressed recording.
 """
@@ -38,16 +46,22 @@ import time
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+# the repository root, for the frozen SGD trainer under tests/learn/
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 from repro.core.featurization import Featurizer
-from repro.core.learners import DECISION_TREE_GRID
+from repro.core.learners import DECISION_TREE_GRID, LOGISTIC_REGRESSION_GRID
 from repro.core.missing_values import ModeImputer
 from repro.datasets import load_dataset
 from repro.learn import (
     DecisionTreeClassifier,
     GridSearchCV,
+    KFold,
+    ParameterGrid,
+    SGDClassifier,
     confusion_matrix,
 )
+from repro.learn.base import clone
 
 # committed next to the benchmark (benchmarks/results/ is gitignored) so
 # the perf trajectory is recorded in-repo
@@ -68,6 +82,11 @@ SCALE_DEPTH = 8
 # exceed this, and --smoke re-checks the disabled span() micro-cost live
 TELEMETRY_OVERHEAD_FLOOR_PCT = 1.0
 NOOP_SPAN_MAX_US = 2.0  # per disabled span() call, generous for CI boxes
+
+# floors on the SGD A/B ratios (baseline / current) that --smoke measures
+# live, about half of what the smoke run measures on a quiet 2-core box
+SGD_LIVE_FLOORS = {"sgd_grid_fit": 1.7, "sgd_fit_single": 0.5}
+SGD_ROUNDS = 5  # interleaved rounds per SGD A/B case (best of each leg)
 
 GERMANCREDIT_ROWS = 1000  # the Figure-2 tuning-grid scale
 SMOKE_ROWS = 300
@@ -200,6 +219,93 @@ def run_telemetry_benchmarks(n_rows: int, repeats: int) -> dict:
         "fit_backend": backend,
         "stage_timings": stages,
     }
+
+
+def _interleaved(baseline, current, repeats: int):
+    """Best-of-N wall times of two callables, alternating which runs first."""
+    best = {"baseline": float("inf"), "current": float("inf")}
+    legs = [("baseline", baseline), ("current", current)]
+    for round_ in range(repeats):
+        for name, fn in legs if round_ % 2 == 0 else legs[::-1]:
+            best[name] = min(best[name], _time(fn, 1))
+    return best["baseline"], best["current"]
+
+
+def run_sgd_benchmarks(n_rows: int, repeats: int) -> dict:
+    """Live A/B of the tuned-LR grid: the LR grid's 12 candidates x 5 folds.
+
+    ``sgd_grid_fit`` times one ``fit_candidates`` stack per fold against
+    a loop of single ``fit`` calls; ``sgd_fit_single`` times that loop
+    against the same fits through the frozen one-row trainer. Each case
+    first checks that its legs produce identical coefficients.
+    """
+    from tests.learn.reference_impl import fit_ovr_per_class
+
+    X, y = _featurized("germancredit", n_rows)
+    # the tuned LogisticRegression learner's template and search folds
+    base = SGDClassifier(loss="log", max_iter=20, batch_size=32, random_state=0)
+    candidates = list(ParameterGrid(LOGISTIC_REGRESSION_GRID))
+    folds = [
+        (X[train], y[train])
+        for train, _ in KFold(5, shuffle=True, random_state=0).split(len(y))
+    ]
+
+    def reference():
+        return [
+            fit_ovr_per_class(clone(base).set_params(**params), X_fold, y_fold)
+            for X_fold, y_fold in folds
+            for params in candidates
+        ]
+
+    def single():
+        return [
+            clone(base).set_params(**params).fit(X_fold, y_fold)
+            for X_fold, y_fold in folds
+            for params in candidates
+        ]
+
+    def stacked():
+        return [
+            model
+            for X_fold, y_fold in folds
+            for model in base.fit_candidates(candidates, X_fold, y_fold)
+        ]
+
+    singles = single()
+    for model, (coef, intercept) in zip(singles, reference()):
+        assert np.array_equal(model.coef_, coef) and np.array_equal(
+            model.intercept_, intercept
+        ), "SGDClassifier.fit drifted from the frozen one-row trainer"
+    for model, fitted in zip(stacked(), singles):
+        assert np.array_equal(model.coef_, fitted.coef_) and np.array_equal(
+            model.intercept_, fitted.intercept_
+        ), "fit_candidates drifted from single fits"
+
+    results = {"n_rows": n_rows, "repeats": repeats}
+    for name, (baseline, current) in (
+        ("sgd_grid_fit", (single, stacked)),
+        ("sgd_fit_single", (reference, single)),
+    ):
+        baseline_s, current_s = _interleaved(baseline, current, repeats)
+        results[name] = {
+            "baseline_s": round(baseline_s, 6),
+            "current_s": round(current_s, 6),
+            "speedup": round(baseline_s / current_s, 3),
+        }
+        print(
+            f"{name:16s} baseline {baseline_s:8.3f}s  current {current_s:8.3f}s  "
+            f"{baseline_s / current_s:6.2f}x"
+        )
+    return results
+
+
+def check_sgd_floors(results: dict) -> None:
+    """Gate the ratios just measured (never the committed ones)."""
+    for name, floor in SGD_LIVE_FLOORS.items():
+        ratio = results[name]["speedup"]
+        assert ratio >= floor, (
+            f"live {name} speedup is {ratio}x, below the {floor}x floor"
+        )
 
 
 def _scale_matrix(n: int, seed: int = 0):
@@ -415,7 +521,12 @@ def record(phase: str, timings: dict, n_rows: int, repeats: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--record", choices=["baseline", "current"])
+    parser.add_argument(
+        "--record",
+        choices=["baseline", "current", "sgd"],
+        help="merge the timings into BENCH_learn.json under this phase; "
+        "'sgd' runs and records only the SGD A/B cases",
+    )
     parser.add_argument("--smoke", action="store_true", help="tiny run + identity checks")
     parser.add_argument(
         "--scale",
@@ -464,10 +575,26 @@ def main(argv=None) -> int:
     n_rows = args.rows or (SMOKE_ROWS if args.smoke else GERMANCREDIT_ROWS)
     repeats = args.repeats or (1 if args.smoke else 3)
 
+    if args.record == "sgd":
+        results = run_sgd_benchmarks(n_rows, args.repeats or SGD_ROUNDS)
+        data = {}
+        if os.path.exists(BENCH_JSON):
+            with open(BENCH_JSON) as handle:
+                data = json.load(handle)
+        data["sgd"] = results
+        with open(BENCH_JSON, "w") as handle:
+            json.dump(data, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"recorded SGD A/B points to {BENCH_JSON}")
+        return 0
+
     if args.smoke:
         check_invariants(n_rows)
     timings = run_benchmarks(n_rows, repeats)
     print(render(timings, n_rows))
+    sgd = run_sgd_benchmarks(n_rows, args.repeats or SGD_ROUNDS)
+    if args.smoke:
+        check_sgd_floors(sgd)
     if args.record:
         data = record(args.record, timings, n_rows, repeats)
         if "speedup" in data:

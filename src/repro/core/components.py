@@ -10,8 +10,9 @@ data only and applied by the framework to the validation and test sets
 from __future__ import annotations
 
 import abc
+import functools
 import inspect
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -26,17 +27,29 @@ def constructor_params(component) -> Dict[str, object]:
     under an attribute of the same name, so a fresh, unfitted copy can be
     rebuilt as ``type(component)(**constructor_params(component))``.
     """
-    signature = inspect.signature(type(component).__init__)
-    params: Dict[str, object] = {}
-    for name, parameter in signature.parameters.items():
-        if name == "self" or parameter.kind in (
-            parameter.VAR_POSITIONAL,
-            parameter.VAR_KEYWORD,
-        ):
-            continue
-        if hasattr(component, name):
-            params[name] = getattr(component, name)
-    return params
+    return {
+        name: getattr(component, name)
+        for name in _constructor_names(type(component))
+        if hasattr(component, name)
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _constructor_names(cls) -> Tuple[str, ...]:
+    """Named ``__init__`` parameters of ``cls``, computed once per class.
+
+    Grid expansion fingerprints every component of every cell; for the
+    many classes without their own ``__init__`` the signature is
+    ``object.__init__``'s, which ``inspect`` re-parses from its text form
+    on every call.
+    """
+    signature = inspect.signature(cls.__init__)
+    return tuple(
+        name
+        for name, parameter in signature.parameters.items()
+        if name != "self"
+        and parameter.kind not in (parameter.VAR_POSITIONAL, parameter.VAR_KEYWORD)
+    )
 
 
 def component_fingerprint(component) -> str:

@@ -179,13 +179,20 @@ class GridSearchCV(BaseEstimator):
     The search loop is fold-major: each fold's training matrix is sliced
     (and, for estimators that accept the ``presort`` fit-context hint,
     presorted) exactly once and shared across every candidate, instead of
-    being recomputed candidates × folds times. Scores are identical to
-    the candidate-major loop because every fit is independent.
+    being recomputed candidates × folds times. An estimator class that
+    defines ``fit_candidates(params_list, X, y, sample_weight=None,
+    ...)`` fits a fold's whole candidate list in one call (trees share a
+    deep induction across ``max_depth``; SGD trains the candidates as one
+    stack); the others are cloned and fit once per candidate and fold.
+    Scores are identical to the candidate-major loop either way, because
+    every model equals its independent fit.
 
     Parameters
     ----------
     estimator:
-        Template estimator (cloned per candidate and fold).
+        Template estimator: handed each fold's candidate list through
+        ``fit_candidates`` when its class has one, otherwise cloned per
+        candidate and fold.
     param_grid:
         ``{param: [values]}``; nested pipeline params use ``step__param``.
     cv:

@@ -65,3 +65,37 @@ class TestFingerprintStability:
             f"{c.run_key} {c.prep_key}\n" for c in grid.expand("germancredit")
         )
         assert local == _keys_under_hash_seed("7")
+
+    def test_expansion_reads_each_constructor_signature_once(self, monkeypatch):
+        import inspect
+
+        from repro.core import (
+            DecisionTree,
+            DIRemover,
+            GridSpec,
+            LogisticRegression,
+            NoIntervention,
+            components,
+        )
+
+        grid = GridSpec(
+            seeds=[1, 2, 3],
+            learners=[lambda: LogisticRegression(tuned=False), DecisionTree],
+            interventions=[NoIntervention, lambda: DIRemover(0.5)],
+        )
+        calls = []
+        real = inspect.signature
+
+        def spy(obj, *args, **kwargs):
+            calls.append(obj)
+            return real(obj, *args, **kwargs)
+
+        components._constructor_names.cache_clear()
+        monkeypatch.setattr(inspect, "signature", spy)
+        first = [(c.run_key, c.prep_key) for c in grid.expand("germancredit")]
+        # 12 cells, each fingerprinting several components: one read per class
+        assert len(first) == 12
+        assert calls and len(calls) == components._constructor_names.cache_info().currsize
+        read = len(calls)
+        assert [(c.run_key, c.prep_key) for c in grid.expand("germancredit")] == first
+        assert len(calls) == read, "a second expansion re-read signatures"

@@ -118,6 +118,28 @@ class TestTracedGridIdentity:
         # the root bounds every stage underneath it
         assert totals["grid.run"]["max_s"] >= totals["stage.train"]["max_s"]
 
+    def test_sgd_fits_are_leaf_spans_under_train(self, german, tmp_path):
+        telemetry.configure(trace_dir=str(tmp_path / "trace"))
+        grid = GridSpec(
+            seeds=[1], learners=[LogisticRegression], interventions=[NoIntervention]
+        )
+        run_grid(german, grid, executor=SerialExecutor())
+        spans = trace_tools.load_trace_dir(str(tmp_path / "trace"))["spans"]
+        by_id = {span["span"]: span for span in spans}
+        fits = [span for span in spans if span["name"] == "learn.sgd_fit"]
+        # one stack of the 12 LR-grid candidates per fold, then the refit
+        assert [f["attrs"]["rows"] for f in fits] == [12] * 5 + [1]
+        assert [f["attrs"]["candidates"] for f in fits] == [12] * 5 + [1]
+        assert all(f["attrs"]["epochs"] >= 1 for f in fits)
+        for fit in fits:
+            ancestors, parent = [], fit.get("parent")
+            while parent in by_id:
+                ancestors.append(by_id[parent]["name"])
+                parent = by_id[parent].get("parent")
+            assert "stage.train" in ancestors
+        fit_ids = {fit["span"] for fit in fits}
+        assert not any(span.get("parent") in fit_ids for span in spans)
+
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
 class TestDistributedTraceStitching:

@@ -3,8 +3,8 @@
 These are verbatim copies of the pre-presort (per-node argsort) decision
 tree splitter and of the binary SGD training loop, kept only so the
 golden tests can assert that the production learners reproduce the seed
-behaviour node-for-node and byte-for-byte — and so a future stacked SGD
-kernel has a fixed target to match. Do not "fix" or optimize this module:
+behaviour node-for-node and byte-for-byte — the stacked SGD kernel
+included. Do not "fix" or optimize this module:
 its value is that it does the work the slow way.
 """
 
